@@ -114,8 +114,8 @@ class RunResult:
     predictor_size_kb: float = 0.0
 
     # Simulator fast-path observability (how the run was *simulated*, not
-    # what the machine did): quiescent-phase fast-forward activity, idle
-    # edges bulk-skipped by event-horizon scheduling, and fetches served
+    # what the machine did): idle edges skipped by the next-event scheduler
+    # (with nothing in flight, and with work in flight), and fetches served
     # from pre-compiled trace columns.  Defaulted so old-schema JSON still
     # deserialises, excluded from equality (``compare=False``) so a run is
     # the same result however it was accelerated, and excluded from both

@@ -29,9 +29,8 @@ class DomainClock:
     consumed, :meth:`edge_at_or_after` can enumerate the exact future edge
     times :meth:`advance` will later produce, and :meth:`skip_edges` can
     bulk-consume jittered edges and land on precisely the same ``next_edge``
-    as the equivalent sequence of individual advances — which is what allows
-    the processor's quiescent-phase fast-forward to stay enabled on jittered
-    clocks.
+    as the equivalent sequence of individual advances — which is what keeps
+    the processor's next-event scheduler exact on jittered clocks.
 
     ``next_edge``, ``period_ps``, ``cycle_count`` and ``jitter_fraction`` are
     plain attributes (not properties): the simulator's main loop reads them
@@ -128,8 +127,7 @@ class DomainClock:
         Valid on jittered clocks too: the offset stream is index-addressable,
         so the bulk skip reproduces exactly the ``next_edge`` and
         ``cycle_count`` the equivalent sequence of :meth:`advance` calls
-        would have produced.  The quiescent-phase fast-forward in the
-        processor uses this to batch idle cycles.
+        would have produced.
         """
         if count <= 0:
             return
@@ -193,7 +191,8 @@ class DomainClock:
         """Consume every unconsumed edge strictly before *time_ps*.
 
         Equivalent to ``skip_edges(edges_before(time_ps))`` but with a single
-        walk of the jitter stream — the fast-forward's batching primitive.
+        walk of the jitter stream — the next-event scheduler's skipping
+        primitive.
         Returns the number of edges consumed.
         """
         edge = self.next_edge

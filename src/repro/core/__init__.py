@@ -28,7 +28,7 @@ from repro.core.controllers import (
     PhaseAdaptiveCacheController,
     PhaseAdaptiveQueueController,
 )
-from repro.core.processor import MCDProcessor
+from repro.core.processor import MCDProcessor, PipelineSnapshot, SimulationStalled
 
 __all__ = [
     "Domain",
@@ -49,4 +49,6 @@ __all__ = [
     "PhaseAdaptiveCacheController",
     "PhaseAdaptiveQueueController",
     "MCDProcessor",
+    "PipelineSnapshot",
+    "SimulationStalled",
 ]

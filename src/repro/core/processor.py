@@ -9,11 +9,13 @@ line of pipeline modelling and differ only where the paper says they differ.
 
 The simulation is event driven over clock edges: the main loop repeatedly
 advances whichever domain has the earliest pending clock edge and performs
-that domain's work for one cycle.  Times are integer picoseconds throughout.
+that domain's work for one cycle, after jumping every clock over the edges on
+which no domain can act.  Times are integer picoseconds throughout.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -84,17 +86,92 @@ _NO_READY: tuple = ()
 #: modelling bug rather than spinning forever.
 _DEADLOCK_LIMIT = 2_000_000
 
-#: Upper bounds on the fast-path bookkeeping: retired DynInst records kept
-#: for recycling between quiescent points (matching the front end's pool
-#: capacity — keeping more would never be reused), and consecutive quiescent
-#: stretches one fast-forward invocation may chain (a backstop against a
-#: modelling bug looping forever inside the fast-forward).
+#: Retired DynInst records kept for recycling between quiescent points
+#: (matching the front end's pool capacity — keeping more would never be
+#: reused).
 _RETIRED_KEEP_LIMIT = 512
-_MAX_FF_STRETCHES = 1024
+
+#: "No bound" for the next-event scheduler: later than any simulated time.
+_NEVER: Picoseconds = 1 << 62
+
+
+@dataclass(frozen=True)
+class PipelineSnapshot:
+    """Where the pipeline stood when the no-progress guard tripped."""
+
+    committed: int
+    #: ``(seq, completion_time)`` of the reorder-buffer head, or ``None``.
+    rob_head: tuple[int, Picoseconds | None] | None
+    fetch_stall_until: Picoseconds
+    #: Sequence number of the mispredicted branch fetch waits on, if any.
+    waiting_branch: int | None
+    #: Occupancy by structure: ROB, fetch queue, both issue queues, LSQ and
+    #: the LSQ entries whose cache access has not issued.
+    occupancy: dict[str, int]
+    pending_event_times: tuple[Picoseconds, ...]
+    #: ``(next_edge, cycle_count)`` by domain name.
+    clocks: dict[str, tuple[Picoseconds, int]]
+
+    def describe(self) -> str:
+        """One line per pipeline area, for the stall error message."""
+        head = (
+            "empty"
+            if self.rob_head is None
+            else f"seq {self.rob_head[0]}, completion {self.rob_head[1]}"
+        )
+        occupancy = ", ".join(f"{name}={count}" for name, count in self.occupancy.items())
+        clocks = ", ".join(
+            f"{name} next_edge={edge} cycles={cycles}"
+            for name, (edge, cycles) in self.clocks.items()
+        )
+        return "\n".join(
+            (
+                f"  committed: {self.committed}",
+                f"  ROB head: {head}",
+                f"  fetch: stall_until={self.fetch_stall_until}, "
+                f"waiting_branch={self.waiting_branch}",
+                f"  occupancy: {occupancy}",
+                f"  pending events at: {list(self.pending_event_times)}",
+                f"  clocks: {clocks}",
+            )
+        )
+
+
+class SimulationStalled(RuntimeError):
+    """The main loop ran ``_DEADLOCK_LIMIT`` iterations without a commit.
+
+    That indicates a pipeline modelling bug rather than a slow workload, so
+    the run stops with a :class:`PipelineSnapshot` (``snapshot``) of the
+    state it was stuck in, also spelled out in the message.
+    """
+
+    def __init__(self, iterations: int, snapshot: PipelineSnapshot) -> None:
+        self.iterations = iterations
+        self.snapshot = snapshot
+        super().__init__(
+            f"simulation made no forward progress for {iterations} main-loop "
+            "iterations; this indicates a pipeline modelling bug\n"
+            + snapshot.describe()
+        )
+
+    def __reduce__(self):
+        # Rebuilt from the constructor arguments, so the error survives the
+        # trip back from a worker process.
+        return (SimulationStalled, (self.iterations, self.snapshot))
 
 
 class MCDProcessor:
     """Simulator for one machine specification.
+
+    The main loop processes one clock edge at a time, always the globally
+    earliest one, but first jumps over edges on which no domain can act: a
+    next-event scheduler (:meth:`_skip_to_next_event`) bounds the earliest
+    time any domain can change state, moves every clock to that bound and
+    applies the skipped edges' counter updates in bulk.  The skipped edges
+    provably do nothing else, so results are bit-identical to stepping every
+    edge, with or without clock jitter (the jitter offset stream is
+    index-addressable, so a bulk skip lands exactly where the individual
+    advances would have).
 
     Parameters
     ----------
@@ -114,36 +191,10 @@ class MCDProcessor:
         Fraction of the faster clock's period forming the unsafe capture
         window at domain crossings (0.3 in the paper; the knob behind the
         paper's synchronisation-window sensitivity analysis).
-    fast_forward:
-        Enable the quiescent-phase fast-forward: when the pipeline is
-        completely drained and fetch is stalled (branch redirect or I-cache
-        miss in flight), idle clock edges are batch-consumed instead of being
-        walked one main-loop iteration at a time — and when fetch comes up
-        empty again at the resume edge (an I-cache miss streak), the next
-        quiescent stretch is skipped in the same invocation.  Bit-identical
-        by construction — the skipped edges provably perform no work beyond
-        stall/occupancy accounting, which is applied in bulk — and therefore
-        on by default; the flag exists so tests can compare both paths.
-        Valid under clock jitter too: the jitter offset stream is
-        index-addressable, so bulk-skipped edges land exactly where
-        one-at-a-time advances would have.
-    horizon_scheduling:
-        Enable event-horizon edge scheduling: an execution-domain clock edge
-        that provably has no work (empty issue queue, or a load/store queue
-        with nothing left to issue) is bulk-skipped together with every
-        following idle edge of that domain up to the next front-end edge —
-        the earliest instant new work can reach the domain, since issue-queue
-        arrivals and LSQ allocations originate only from front-end dispatch.
-        The per-cycle zero-occupancy samples the skipped edges would have
-        taken are applied in bulk, so this is bit-identical too (and, like
-        the fast-forward, jitter-correct); disabled automatically while a
-        reconfiguration event is pending so events keep firing at exactly
-        the edge they would have fired at.  On by default; the flag exists
-        so tests can compare both paths.
     recorder:
         Optional :class:`~repro.obs.recorder.TraceRecorder` receiving the
         telemetry event stream (controller intervals, reconfigurations,
-        frequency changes, sync penalties, fast-forward/horizon activity).
+        frequency changes, sync penalties, skipped-edge activity).
         Strictly observation-only: results are bit-identical with and
         without a recorder, and the ``None`` default (the null object) adds
         no work to the hot paths — every emission guard is a precomputed
@@ -159,8 +210,6 @@ class MCDProcessor:
         seed: int = 0,
         jitter_fraction: float = 0.0,
         sync_window_fraction: float = DEFAULT_WINDOW_FRACTION,
-        fast_forward: bool = True,
-        horizon_scheduling: bool = True,
         recorder: TraceRecorder | None = None,
     ) -> None:
         if phase_adaptive and not spec.is_adaptive:
@@ -197,8 +246,10 @@ class MCDProcessor:
         # every wake-window rebuild, so a frequency change invalidates every
         # cached ``DynInst.wake_time`` at once.
         self._wake_epoch = 0
-        # Per-queue idle horizons fed by _ready_entries: the earliest time at
-        # which a non-empty queue can possibly issue (0 = unknown / disabled).
+        # Per-queue idle horizons fed by _ready_entries: the earliest known
+        # wake-up time among a queue's entries (_NEVER when none is known),
+        # or 0 when the queue must be scanned on its next edge — something
+        # was ready at the last scan, or a producer has completed since.
         self._scan_idle_until: Picoseconds = 0
         self._int_idle_until: Picoseconds = 0
         self._fp_idle_until: Picoseconds = 0
@@ -270,20 +321,18 @@ class MCDProcessor:
         self._interval_start_time: dict[str, Picoseconds] = {}
         self._last_interval_duration: Picoseconds = 0
 
-        # Quiescent-phase fast-forward and event-horizon edge scheduling
-        # (see the constructor docstring).  The counters are observational
+        # Skipped-edge counters of the next-event scheduler: observational
         # only — excluded from result digests — and reset together with the
-        # warm-up reset so they describe the measured window.
-        self._fast_forward_enabled = fast_forward
-        self._horizon_enabled = horizon_scheduling
-        #: Number of times the fast-forward batch-consumed at least one edge.
+        # warm-up reset so they describe the measured window.  A skip that
+        # starts with an empty ROB and fetch queue is booked as a
+        # fast-forward, every other skip as a horizon skip.
+        #: Skips taken with nothing in flight.
         self.fast_forward_invocations = 0
-        #: Total clock edges consumed in bulk across all domains.
+        #: Clock edges, across all domains, skipped with nothing in flight.
         self.fast_forward_cycles = 0
-        #: Quiescent stretches consumed by the fast-forward (several per
-        #: invocation when an I-cache miss streak chains stalls).
+        #: Quiescent stretches skipped (one per fast-forward skip).
         self.steady_stretches_skipped = 0
-        #: Idle execution-domain edges bulk-skipped by horizon scheduling.
+        #: Clock edges, across all domains, skipped with work in flight.
         self.horizon_skipped_edges = 0
 
         # Telemetry (observation-only).  The per-event-type booleans are
@@ -407,7 +456,7 @@ class MCDProcessor:
         self._reset_fast_path_counters()
 
     def _reset_fast_path_counters(self) -> None:
-        """Zero the fast-path observability counters (with the warm-up reset)."""
+        """Zero the skip counters (with the warm-up reset)."""
         self.fast_forward_invocations = 0
         self.fast_forward_cycles = 0
         self.steady_stretches_skipped = 0
@@ -509,12 +558,12 @@ class MCDProcessor:
         frontend = self.frontend
         assert frontend is not None
         rob = self.rob
-        # Hot bindings: the loop body runs once per clock edge across the
-        # whole run, so every attribute lookup it avoids matters.  The edge
-        # selection is an explicit four-way compare (ties resolve in Domain
-        # declaration order, exactly as ``min(Domain, key=...)`` did).
-        # The ROB and fetch-queue containers are mutated only in place, so
-        # binding them once keeps the quiescence check to two truth tests.
+        # Hot bindings: the loop body runs once per processed clock edge, so
+        # every attribute lookup it avoids matters.  The edge selection is an
+        # explicit four-way compare (ties resolve in Domain declaration
+        # order, exactly as ``min(Domain, key=...)`` did).  The ROB and
+        # fetch-queue containers are mutated only in place, so binding them
+        # once keeps the quiescence check to two truth tests.
         rob_entries = rob._entries
         fq_entries = frontend.fetch_queue._entries
         fe_clock = self._fe_clock
@@ -525,14 +574,9 @@ class MCDProcessor:
         int_cycle = self._integer_cycle
         fp_cycle = self._floating_point_cycle
         ls_cycle = self._load_store_cycle
-        fast_forward = self._fast_forward_enabled
-        horizon_scheduling = self._horizon_enabled
-        trace_horizon = self._trace_horizon
-        try_fast_forward = self._try_fast_forward
-        int_queue = self.int_queue
-        fp_queue = self.fp_queue
-        lsq = self.lsq
+        skip_to_next_event = self._skip_to_next_event
         retired = self._retired
+        deadlock_limit = _DEADLOCK_LIMIT
         # Jitter never changes mid-run, so on jitter-free machines the
         # per-edge ``clock.advance()`` call reduces to its two attribute
         # updates, inlined below.
@@ -555,77 +599,8 @@ class MCDProcessor:
                     retired.clear()
                 if frontend.trace_exhausted:
                     break
-                if fast_forward:
-                    try_fast_forward(fe_clock, int_clock, fp_clock, ls_clock)
 
-            if horizon_scheduling and not self._pending_events:
-                # Event-horizon edge scheduling: every execution-domain edge
-                # strictly before the next front-end edge is provably a no-op
-                # while the domain holds no work — issue-queue arrivals and
-                # LSQ allocations originate only from front-end dispatch, and
-                # a memory op awaiting address generation keeps
-                # ``lsq.unissued`` non-zero — so each idle domain's pending
-                # edges are bulk-skipped together.  Skipping runs at the top
-                # of the iteration, before an edge is selected and processed,
-                # so it never consumes edges past the run's final cycle; the
-                # per-cycle zero-occupancy samples the skipped edges would
-                # have taken are applied in bulk, and pending events disable
-                # skipping so reconfigurations keep firing at exactly the
-                # edge they would have.
-                fe_next = fe_clock.next_edge
-                skipped = 0
-                if int_clock.next_edge < fe_next and not int_queue._incoming:
-                    if not int_queue._entries:
-                        count = int_clock.skip_edges_before(fe_next)
-                        int_queue.occupancy_samples += count
-                        skipped = count
-                    else:
-                        # Occupied-queue horizon: the last wake-up scan proved
-                        # every entry sleeps until _int_idle_until (producer
-                        # completions are final and new entries arrive only
-                        # via _incoming, which is empty), so edges strictly
-                        # before min(idle, fe_next) sample occupancy and do
-                        # nothing else.
-                        bound = self._int_idle_until
-                        if bound > int_clock.next_edge:
-                            if bound > fe_next:
-                                bound = fe_next
-                            count = int_clock.skip_edges_before(bound)
-                            if count:
-                                int_queue.occupancy_samples += count
-                                int_queue.occupancy_accumulator += count * len(
-                                    int_queue._entries
-                                )
-                                skipped = count
-                if fp_clock.next_edge < fe_next and not fp_queue._incoming:
-                    if not fp_queue._entries:
-                        count = fp_clock.skip_edges_before(fe_next)
-                        fp_queue.occupancy_samples += count
-                        skipped += count
-                    else:
-                        bound = self._fp_idle_until
-                        if bound > fp_clock.next_edge:
-                            if bound > fe_next:
-                                bound = fe_next
-                            count = fp_clock.skip_edges_before(bound)
-                            if count:
-                                fp_queue.occupancy_samples += count
-                                fp_queue.occupancy_accumulator += count * len(
-                                    fp_queue._entries
-                                )
-                                skipped += count
-                if ls_clock.next_edge < fe_next and lsq.unissued == 0:
-                    skipped += ls_clock.skip_edges_before(fe_next)
-                if skipped:
-                    self.horizon_skipped_edges += skipped
-                    if trace_horizon:
-                        assert self.recorder is not None
-                        self.recorder.emit(
-                            HORIZON_SKIP,
-                            fe_next,
-                            rob.total_committed,
-                            edges=skipped,
-                        )
+            skip_to_next_event()
 
             edge = fe_clock.next_edge
             clock = fe_clock
@@ -658,122 +633,250 @@ class MCDProcessor:
             committed = rob.total_committed
             if committed == last_committed:
                 idle_iterations += 1
-                if idle_iterations > _DEADLOCK_LIMIT:
-                    raise RuntimeError(
-                        "simulation made no forward progress for "
-                        f"{_DEADLOCK_LIMIT} cycles (committed="
-                        f"{committed}); this indicates a "
-                        "pipeline modelling bug"
-                    )
+                if idle_iterations > deadlock_limit:
+                    raise SimulationStalled(deadlock_limit, self._pipeline_snapshot())
             else:
                 idle_iterations = 0
                 last_committed = committed
 
-    def _try_fast_forward(
-        self,
-        fe_clock: DomainClock,
-        int_clock: DomainClock,
-        fp_clock: DomainClock,
-        ls_clock: DomainClock,
-    ) -> None:
-        """Batch-consume provably idle clock edges while the machine drains.
+    def _skip_to_next_event(self) -> None:
+        """Jump every clock over the edges on which no domain can act.
 
-        Preconditions (checked by the caller): the reorder buffer and fetch
-        queue are empty, so no instruction is in flight anywhere — the issue
-        queues, LSQ and functional units are all drained.  Until the front
-        end fetches again, every domain's cycle is a no-op whose only side
-        effects are the front end's stall counter and the issue queues'
-        zero-occupancy samples, so those edges can be consumed in bulk with
-        the same counter updates.
+        Computes *bound*, a lower bound on the earliest time any domain can
+        change state, from each domain's own next possible action:
 
-        Fetch resumes at the first front-end edge at or after the front
-        end's stall horizon (branch redirect or I-cache refill time), so
-        edges strictly before that — across all four domains — are skippable.
-        Pending reconfiguration events cap the horizon (they must fire at
-        exactly the edge they would have fired at), and any in-progress
-        reconfiguration bypasses the fast-forward entirely: while the
-        controllers are mid-change the conservative path keeps the event and
-        frequency sequencing trivially identical.
+        - front end: the first front-end edge at or after the earliest of
+          the ROB head's completion plus its synchronisation window
+          (commit), the fetch-queue head's ``dispatch_ready_time`` unless a
+          structure it needs is full (dispatch), and the fetch stall horizon
+          (fetch; no bound while a mispredicted branch is unresolved);
+        - integer / FP: the queue's memoised wake-up horizon (see
+          :meth:`_ready_entries`); no bound while the queue is empty;
+        - load/store: the earliest ``lsq_arrival_time`` of an entry whose
+          cache access has not issued;
+        - the earliest pending reconfiguration event.
 
-        When no reconfiguration event is pending, one invocation chains
-        across *multiple* quiescent stretches: after skipping to the stall
-        horizon it runs the front end's fetch at the resume edge itself (the
-        commit and dispatch halves of that front-end cycle are provably
-        no-ops while the ROB and fetch queue are empty).  If fetch comes up
-        empty and stalls again — an I-cache miss streak walking through the
-        L2 — the next stretch is skipped immediately, without surfacing to
-        the main loop between stretches.
+        State changes only when some domain acts, and no domain can act
+        before its bound while the others have not acted, so every edge
+        strictly before the minimum is a no-op.  Those edges are consumed
+        with ``skip_edges_before`` and their counter updates applied in
+        bulk.  Returns as soon as some bound reaches the earliest unconsumed
+        edge, which leaves nothing to skip — the common, cheap case.
         """
-        frontend = self.frontend
-        assert frontend is not None
-        if self._changes_in_progress or frontend.waiting_for_branch is not None:
+        # Issue queues first: a wake-up scan due on the next edge (horizon
+        # 0) is the most common reason there is nothing to skip.  A pending
+        # arrival pins the domain's next edge.
+        int_clock = self._int_clock
+        queue = self.int_queue
+        if queue._incoming:
+            bound = int_clock.next_edge
+        elif queue._entries:
+            bound = self._int_idle_until
+            if not bound:
+                return
+        else:
+            bound = _NEVER
+        fp_clock = self._fp_clock
+        queue = self.fp_queue
+        if queue._incoming:
+            horizon = fp_clock.next_edge
+        elif queue._entries:
+            horizon = self._fp_idle_until
+            if not horizon:
+                return
+        else:
+            horizon = _NEVER
+        if horizon < bound:
+            bound = horizon
+
+        fe_clock = self._fe_clock
+        ls_clock = self._ls_clock
+        fe_next = fe_clock.next_edge
+        int_next = int_clock.next_edge
+        fp_next = fp_clock.next_edge
+        ls_next = ls_clock.next_edge
+        earliest = fe_next
+        if int_next < earliest:
+            earliest = int_next
+        if fp_next < earliest:
+            earliest = fp_next
+        if ls_next < earliest:
+            earliest = ls_next
+        if bound <= earliest:
             return
-        int_queue = self.int_queue
-        fp_queue = self.fp_queue
-        total_skipped = 0
-        stretches = 0
-        while True:
-            horizon = fe_clock.edge_at_or_after(frontend.stall_until)
-            # Any pending event disables chaining: the event must be fired by
-            # the main loop at the first processed edge at or after its time,
-            # which the chained fetch below would bypass.
-            chain = not self._pending_events
-            if not chain:
-                earliest = min(event[0] for event in self._pending_events)
-                if earliest < horizon:
-                    horizon = earliest
 
-            skipped = 0
-            # skip_edges_before consumes the edges strictly before the
-            # horizon — on a jittered clock by walking the index-addressable
-            # offset stream once, landing exactly where per-edge advances
-            # would have.
-            count = fe_clock.skip_edges_before(horizon)
-            if count:
-                frontend.stats.fetch_stall_cycles += count
+        frontend = self.frontend
+        fetch_queue = frontend.fetch_queue
+        fq_entries = fetch_queue._entries
+        waiting_branch = frontend._waiting_branch
+        stall_until = frontend._stall_until
+        fetch_stalled = waiting_branch is None and stall_until > fe_next
+        if (
+            waiting_branch is None
+            and not fetch_stalled
+            and len(fq_entries) < fetch_queue._capacity
+        ):
+            # Fetch can act on the next front-end edge.
+            if fe_next <= earliest:
+                return
+            if fe_next < bound:
+                bound = fe_next
+
+        for event_time, _ in self._pending_events:
+            if event_time < bound:
+                if event_time <= earliest:
+                    return
+                bound = event_time
+
+        # Front end: commit, dispatch and a stalled fetch, as raw times first.
+        fe_time = stall_until if fetch_stalled else _NEVER
+        rob_entries = self.rob._entries
+        head = rob_entries[0] if rob_entries else None
+        completion = head.completion_time if head is not None else None
+        cross_domain_head = completion is not None and self.sync.enabled
+        if completion is not None:
+            window = (
+                self._wake_windows(_FRONT_END_DOMAIN)[head.exec_domain]
+                if cross_domain_head
+                else 0
+            )
+            if completion + window < fe_time:
+                fe_time = completion + window
+        if fq_entries:
+            inst = fq_entries[0]
+            if inst.dispatch_ready_time < fe_time and self._can_dispatch(inst):
+                fe_time = inst.dispatch_ready_time
+        if fe_time < bound:
+            if fe_time <= fe_next:
+                fe_time = fe_next
+            elif not fe_clock.jitter_fraction:
+                # First front-end edge at or after fe_time.  (A jittered
+                # clock keeps the raw time: a valid, slightly looser bound
+                # that spares walking the jitter stream on every call.)
+                period = fe_clock.period_ps
+                fe_time = fe_next - (fe_next - fe_time) // period * period
+            if fe_time < bound:
+                if fe_time <= earliest:
+                    return
+                bound = fe_time
+
+        lsq = self.lsq
+        if lsq.unissued:
+            for inst in lsq._entries:
+                if not inst.memory_issued:
+                    arrival = inst.lsq_arrival_time
+                    if arrival is not None and arrival < bound:
+                        if arrival <= earliest:
+                            return
+                        bound = arrival
+
+        if bound == _NEVER:
+            # Nothing left that could ever act: a modelling bug, which the
+            # main loop's no-progress guard reports.
+            return
+
+        skipped = 0
+        if fe_next < bound:
+            if cross_domain_head:
+                # Each skipped edge precedes completion + window, so the ROB
+                # head's commit check records one transfer and, exactly when
+                # the first edge at or after the completion lies inside the
+                # unsafe window, one penalty.  Decided before the clock moves.
+                penalised = fe_clock.edge_at_or_after(completion) - completion < window
+            count = fe_clock.skip_edges_before(bound)
+            stats = frontend.stats
+            if waiting_branch is not None:
+                stats.branch_stall_cycles += count
+            elif fetch_stalled:
+                stats.fetch_stall_cycles += count
+            if cross_domain_head:
+                sync_stats = self.sync.stats
+                sync_stats.transfers += count
+                if penalised:
+                    sync_stats.penalties += count
+                    if self._trace_sync:
+                        for _ in range(count):
+                            self._emit_sync_penalty(
+                                completion, head.exec_domain, _FRONT_END_DOMAIN
+                            )
+            skipped = count
+        for clock, queue in ((int_clock, self.int_queue), (fp_clock, self.fp_queue)):
+            if clock.next_edge < bound:
+                count = clock.skip_edges_before(bound)
+                # The per-edge occupancy samples, in bulk.
+                queue.occupancy_samples += count
+                queue.occupancy_accumulator += count * (
+                    len(queue._entries) + len(queue._incoming)
+                )
                 skipped += count
-            for clock, queue in ((int_clock, int_queue), (fp_clock, fp_queue)):
-                count = clock.skip_edges_before(horizon)
-                if count:
-                    # The per-cycle occupancy sample of an empty queue, in bulk.
-                    queue.occupancy_samples += count
-                    skipped += count
-            skipped += ls_clock.skip_edges_before(horizon)
-            if skipped:
-                stretches += 1
-                total_skipped += skipped
+        if ls_next < bound:
+            skipped += ls_clock.skip_edges_before(bound)
 
-            if not chain or not skipped or stretches >= _MAX_FF_STRETCHES:
-                break
-            if fe_clock.next_edge != horizon:
-                break
-            # The resume edge is now the globally earliest edge (every other
-            # domain was skipped up to the horizon; the front end wins ties),
-            # so run its front-end cycle here: commit and dispatch are no-ops
-            # with the ROB and fetch queue empty, leaving just fetch.
-            fetched = frontend.fetch_cycle(horizon, fe_clock.period_ps)
-            fe_clock.advance()
-            if fetched or frontend.trace_exhausted:
-                break
-            if frontend.stall_until <= horizon:
-                # Fetch made no progress yet recorded no new stall; bail out
-                # to the main loop rather than risk spinning here (the
-                # deadlock guard lives there).
-                break
-
-        if total_skipped:
+        if head is None and not fq_entries:
             self.fast_forward_invocations += 1
-            self.fast_forward_cycles += total_skipped
-            self.steady_stretches_skipped += stretches
+            self.fast_forward_cycles += skipped
+            self.steady_stretches_skipped += 1
             if self._trace_ff:
                 assert self.recorder is not None
                 self.recorder.emit(
                     FAST_FORWARD,
-                    fe_clock.next_edge,
+                    bound,
                     self.rob.total_committed,
-                    edges=total_skipped,
-                    stretches=stretches,
+                    edges=skipped,
+                    stretches=1,
                 )
+        else:
+            self.horizon_skipped_edges += skipped
+            if self._trace_horizon:
+                assert self.recorder is not None
+                self.recorder.emit(
+                    HORIZON_SKIP, bound, self.rob.total_committed, edges=skipped
+                )
+
+    def _can_dispatch(self, inst: DynInst) -> bool:
+        """True unless a structure *inst* needs at dispatch is full.
+
+        The structural-hazard checks of dispatch, inlined from the
+        respective ``has_space`` / ``can_allocate`` properties; the
+        scheduler asks the same question of the fetch-queue head.
+        """
+        if len(self.rob._entries) >= self.rob._capacity:
+            return False
+        dest = inst.dest
+        if dest >= 0:
+            regfile = self.fp_regs if dest >= FP_BASE_INDEX else self.int_regs
+            if regfile._total <= regfile._allocated:
+                return False
+        queue = self.fp_queue if inst.is_fp else self.int_queue
+        if len(queue._entries) + len(queue._incoming) >= queue._capacity:
+            return False
+        return not (inst.is_memory_op and len(self.lsq._entries) >= self.lsq._capacity)
+
+    def _pipeline_snapshot(self) -> PipelineSnapshot:
+        """The state :class:`SimulationStalled` reports."""
+        frontend = self.frontend
+        assert frontend is not None
+        head = self.rob.head
+        waiting = frontend.waiting_for_branch
+        return PipelineSnapshot(
+            committed=self.rob.total_committed,
+            rob_head=None if head is None else (head.seq, head.completion_time),
+            fetch_stall_until=frontend.stall_until,
+            waiting_branch=None if waiting is None else waiting.seq,
+            occupancy={
+                "rob": self.rob.occupancy,
+                "fetch_queue": frontend.fetch_queue.occupancy,
+                "int_queue": self.int_queue.occupancy,
+                "fp_queue": self.fp_queue.occupancy,
+                "lsq": self.lsq.occupancy,
+                "lsq_unissued": self.lsq.unissued,
+            },
+            pending_event_times=tuple(sorted(time for time, _ in self._pending_events)),
+            clocks={
+                domain.value: (clock.next_edge, clock.cycle_count)
+                for domain, clock in self.clocks.items()
+            },
+        )
 
     def _process_pending_events(self, now: Picoseconds) -> None:
         due = [event for event in self._pending_events if event[0] <= now]
@@ -803,7 +906,7 @@ class MCDProcessor:
         # Stalled fetch cycles (unresolved branch, I-cache refill) only bump
         # a counter; the checks are inlined here so the common stalled cycle
         # skips the fetch_cycle call entirely.  fetch_cycle performs the
-        # same checks itself for its other callers (the fast-forward chain).
+        # same checks itself for its other callers.
         frontend = self.frontend
         if frontend._waiting_branch is not None:
             frontend.stats.branch_stall_cycles += 1
@@ -898,9 +1001,8 @@ class MCDProcessor:
         if not fq_entries or fq_entries[0].dispatch_ready_time > now:
             return
         rob = self.rob
-        rob_entries = rob._entries
-        rob_capacity = rob._capacity
         lsq = self.lsq
+        can_dispatch = self._can_dispatch
         last_writer = self._last_writer
         last_writer_get = last_writer.get
         sync = self.sync
@@ -915,25 +1017,14 @@ class MCDProcessor:
             inst = fq_entries[0] if fq_entries else None
             if inst is None or inst.dispatch_ready_time > now:
                 break
-            # Structural-hazard checks, inlined from the respective
-            # ``has_space`` / ``can_allocate`` properties.
-            if len(rob_entries) >= rob_capacity:
-                break
-            dest = inst.dest
-            regfile = None
-            if dest >= 0:
-                regfile = self.fp_regs if dest >= FP_BASE_INDEX else self.int_regs
-                if regfile._total <= regfile._allocated:
-                    break
-            is_fp_op = inst.is_fp
-            queue = self.fp_queue if is_fp_op else self.int_queue
-            if len(queue._entries) + len(queue._incoming) >= queue._capacity:
-                break
-            is_memory_op = inst.is_memory_op
-            if is_memory_op and len(lsq._entries) >= lsq._capacity:
+            if not can_dispatch(inst):
                 break
 
             fetch_queue.pop()
+            dest = inst.dest
+            is_fp_op = inst.is_fp
+            queue = self.fp_queue if is_fp_op else self.int_queue
+            is_memory_op = inst.is_memory_op
             source_count = inst.source_count
             if source_count == 0:
                 inst.producers = ()
@@ -944,8 +1035,8 @@ class MCDProcessor:
                     last_writer_get(inst.src0),
                     last_writer_get(inst.src1),
                 )
-            if regfile is not None:
-                regfile.allocate()
+            if dest >= 0:
+                (self.fp_regs if dest >= FP_BASE_INDEX else self.int_regs).allocate()
                 last_writer[dest] = inst
             rob.dispatch(inst)
             if is_memory_op:
@@ -1061,11 +1152,11 @@ class MCDProcessor:
         epoch = self._wake_epoch
         ready = self._ready_scratch
         ready.clear()
-        # Side output for the event-horizon scheduler: when nothing is ready
-        # and every entry's wake-up time is known, the earliest of them bounds
-        # the next edge at which this queue can possibly issue.
-        min_wake = 0
-        all_known = True
+        # Side output for the next-event scheduler: when nothing is ready,
+        # the earliest known wake-up time bounds the next edge at which this
+        # queue can issue.  An entry waiting on an unfinished producer does
+        # not lower it: the producer's completion resets the horizon to 0.
+        min_wake = _NEVER
         for inst in entries:
             if inst.wake_epoch == epoch:
                 # Memoised: every producer's completion is final once set,
@@ -1074,7 +1165,7 @@ class MCDProcessor:
                 wake = inst.wake_time
                 if wake <= now:
                     ready.append(inst)
-                elif min_wake == 0 or wake < min_wake:
+                elif wake < min_wake:
                     min_wake = wake
                 continue
             wake = 0
@@ -1083,7 +1174,6 @@ class MCDProcessor:
                     continue
                 completion = producer.completion_time
                 if completion is None:
-                    all_known = False
                     break
                 exec_domain = producer.exec_domain
                 if exec_domain != domain_name:
@@ -1095,12 +1185,9 @@ class MCDProcessor:
                 inst.wake_epoch = epoch
                 if wake <= now:
                     ready.append(inst)
-                elif min_wake == 0 or wake < min_wake:
+                elif wake < min_wake:
                     min_wake = wake
-        if ready or not all_known:
-            self._scan_idle_until = 0
-        else:
-            self._scan_idle_until = min_wake
+        self._scan_idle_until = 0 if ready else min_wake
         ready.sort(key=_SEQ_KEY)
         return ready
 
@@ -1151,6 +1238,9 @@ class MCDProcessor:
                     inst.exec_domain = _INTEGER_DOMAIN
                     if inst.mispredicted:
                         self._schedule_branch_redirect(inst, completion, clock)
+            if issued:
+                # New completion times: consumers' wake-ups may now be known.
+                self._int_idle_until = self._fp_idle_until = 0
         # Inline occupancy sample (one per processed edge, as always).
         queue.occupancy_samples += 1
         queue.occupancy_accumulator += len(queue._entries) + len(queue._incoming)
@@ -1180,6 +1270,8 @@ class MCDProcessor:
                 issued += 1
                 inst.completion_time = now + latency_ps
                 inst.exec_domain = _FLOATING_POINT_DOMAIN
+            if issued:
+                self._int_idle_until = self._fp_idle_until = 0
         queue.occupancy_samples += 1
         queue.occupancy_accumulator += len(queue._entries) + len(queue._incoming)
 
@@ -1238,6 +1330,8 @@ class MCDProcessor:
                 lsq.unissued -= 1
                 lsq_stats.stores_performed += 1
                 performed += 1
+        if performed:
+            self._int_idle_until = self._fp_idle_until = 0
 
     #: Pipeline depth already represented by the explicit fetch/decode/dispatch
     #: and issue modelling.  The configured misprediction penalties (Table 5)

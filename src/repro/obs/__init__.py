@@ -7,7 +7,7 @@ off):
 - :mod:`repro.obs.events` / :mod:`repro.obs.recorder` — typed,
   schema-versioned trace events from the processor's instrumentation hooks
   (controller decisions, reconfigurations, frequency changes, sync
-  penalties, fast-forward/horizon activity), recorded through a
+  penalties, skipped idle edges), recorded through a
   :class:`TraceRecorder` into bounded ring buffers and JSONL files.
 - :mod:`repro.obs.metrics` — :class:`EngineMetrics`: per-job wall-clock and
   queue-latency histograms plus worker utilization, accumulated by the

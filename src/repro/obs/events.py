@@ -2,8 +2,8 @@
 
 One :class:`TraceEvent` is one observation: a controller interval was
 evaluated, a reconfiguration was applied, a domain clock changed frequency,
-a synchronisation penalty was paid, the fast-forward or event-horizon
-scheduler skipped edges, or a scenario phase boundary passed.  Events are
+a synchronisation penalty was paid, the next-event scheduler skipped idle
+edges, or a scenario phase boundary passed.  Events are
 observation-only by construction — nothing in the simulator reads them back
 — so a traced run and an untraced run of the same job produce bit-identical
 :class:`~repro.analysis.metrics.RunResult` digests.
@@ -55,10 +55,13 @@ FREQUENCY_CHANGE = "frequency-change"
 #: extra synchroniser cycle.
 SYNC_PENALTY = "sync-penalty"
 
-#: The quiescent-phase fast-forward batch-consumed idle edges.
+#: The next-event scheduler skipped idle clock edges with nothing in flight
+#: (empty ROB and fetch queue).  Stamped with the time skipped to; payload:
+#: ``edges`` (skipped across all domains) and ``stretches`` (always 1).
 FAST_FORWARD = "fast-forward"
 
-#: Event-horizon scheduling bulk-skipped idle execution-domain edges.
+#: The next-event scheduler skipped idle clock edges with work in flight.
+#: Stamped with the time skipped to; payload: ``edges`` (across all domains).
 HORIZON_SKIP = "horizon-skip"
 
 #: A scenario phase-program boundary fell inside the measured window

@@ -42,8 +42,8 @@ class LoadStoreQueue:
         # Occupants whose cache access has not been issued yet.  Maintained
         # by allocate/release/squash here and decremented by the processor at
         # the point it marks an entry ``memory_issued``; lets the load/store
-        # cycle (and horizon scheduling) skip edges with nothing to issue
-        # without scanning the queue.
+        # cycle (and the next-event scheduler) skip edges with nothing to
+        # issue without scanning the queue.
         self.unissued = 0
 
     # ------------------------------------------------------------------ API

@@ -3,8 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.workloads import WorkloadProfile
+
+# Example budgets of the scheduler differential test
+# (tests/test_scheduler_differential.py), where one example is two whole
+# simulations.  Tier-1 runs the small deterministic profile; CI selects the
+# long one with ``--hypothesis-profile=scheduler-long``.  Registering them
+# loads neither, so every other property test keeps the stock settings.
+_SLOW_EXAMPLES = {"deadline": None, "suppress_health_check": [HealthCheck.too_slow]}
+settings.register_profile("scheduler-tier1", max_examples=20, derandomize=True, **_SLOW_EXAMPLES)
+settings.register_profile("scheduler-long", max_examples=500, **_SLOW_EXAMPLES)
 
 
 @pytest.fixture

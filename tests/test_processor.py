@@ -1,6 +1,7 @@
 """Integration tests for the MCD processor simulator."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -8,7 +9,9 @@ from repro.analysis.metrics import RunResult
 from repro.core import (
     AdaptiveConfigIndices,
     AdaptiveControlParams,
+    Domain,
     MCDProcessor,
+    SimulationStalled,
     adaptive_mcd_spec,
     base_adaptive_spec,
     best_overall_synchronous_spec,
@@ -220,3 +223,58 @@ class TestPhaseAdaptiveExecution:
         assert any(
             max(d.scores, key=d.scores.get) > 16 for d in controller.decisions
         )
+
+
+class NeverCommits(MCDProcessor):
+    """A deliberately broken pipeline: the commit stage never retires."""
+
+    def _commit(self, now, fe_clock):
+        pass
+
+
+class TestNoProgressGuard:
+    def stalled(self, profile, monkeypatch) -> tuple[MCDProcessor, SimulationStalled]:
+        monkeypatch.setattr("repro.core.processor._DEADLOCK_LIMIT", 2_000)
+        processor = NeverCommits(best_overall_synchronous_spec())
+        trace = SyntheticTraceGenerator(profile, seed=11)
+        with pytest.raises(SimulationStalled) as caught:
+            processor.run(trace.instructions(), max_instructions=500)
+        return processor, caught.value
+
+    def test_stall_raises_with_a_pipeline_snapshot(self, tiny_profile, monkeypatch):
+        processor, error = self.stalled(tiny_profile, monkeypatch)
+        assert isinstance(error, RuntimeError)
+        assert error.iterations == 2_000
+        snapshot = error.snapshot
+        assert snapshot.committed == 0
+        head = processor.rob.head
+        assert head is not None and head.completion_time is not None
+        assert snapshot.rob_head == (head.seq, head.completion_time)
+        # Nothing retires, so the registers run out, dispatch stops and the
+        # fetch queue backs up.
+        assert snapshot.occupancy["rob"] == processor.rob.occupancy > 0
+        fetch_queue = processor.frontend.fetch_queue
+        assert snapshot.occupancy["fetch_queue"] == fetch_queue.capacity
+        assert snapshot.occupancy["lsq"] == processor.lsq.occupancy
+        assert snapshot.pending_event_times == ()
+        assert snapshot.clocks == {
+            domain.value: (clock.next_edge, clock.cycle_count)
+            for domain, clock in processor.clocks.items()
+        }
+        assert set(snapshot.clocks) == {domain.value for domain in Domain}
+
+    def test_stall_message_spells_out_the_snapshot(self, tiny_profile, monkeypatch):
+        processor, error = self.stalled(tiny_profile, monkeypatch)
+        message = str(error)
+        assert "no forward progress for 2000 main-loop iterations" in message
+        assert f"ROB head: seq {error.snapshot.rob_head[0]}" in message
+        assert f"rob={processor.rob.occupancy}," in message
+        assert "front_end next_edge=" in message
+
+    def test_stall_error_survives_pickling(self, tiny_profile, monkeypatch):
+        """Worker processes send the error back to the parent by pickle."""
+        _, error = self.stalled(tiny_profile, monkeypatch)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is SimulationStalled
+        assert copy.snapshot == error.snapshot
+        assert str(copy) == str(error)
