@@ -10,14 +10,18 @@ from __future__ import annotations
 
 
 class BranchTargetBuffer:
-    """Direct-mapped (optionally set-associative) branch target buffer."""
+    """Direct-mapped (optionally set-associative) branch target buffer.
+
+    Sets are created on their first update; a lookup in a set that has
+    never been updated is a miss.
+    """
 
     def __init__(self, entries: int = 4096, associativity: int = 4) -> None:
         if entries <= 0 or entries % associativity:
             raise ValueError("entries must be a positive multiple of associativity")
         self._sets = entries // associativity
         self._assoc = associativity
-        self._table: list[list[tuple[int, int]]] = [[] for _ in range(self._sets)]
+        self._table: list[list[tuple[int, int]] | None] = [None] * self._sets
         self.hits = 0
         self.misses = 0
 
@@ -27,19 +31,23 @@ class BranchTargetBuffer:
     def lookup(self, pc: int) -> int | None:
         """Return the predicted target for *pc*, or ``None`` on a BTB miss."""
         entry_set = self._table[self._index(pc)]
-        for position, (tag, target) in enumerate(entry_set):
-            if tag == pc:
-                if position:
-                    del entry_set[position]
-                    entry_set.insert(0, (tag, target))
-                self.hits += 1
-                return target
+        if entry_set is not None:
+            for position, (tag, target) in enumerate(entry_set):
+                if tag == pc:
+                    if position:
+                        del entry_set[position]
+                        entry_set.insert(0, (tag, target))
+                    self.hits += 1
+                    return target
         self.misses += 1
         return None
 
     def update(self, pc: int, target: int) -> None:
         """Install or refresh the target for the branch at *pc*."""
-        entry_set = self._table[self._index(pc)]
+        index = self._index(pc)
+        entry_set = self._table[index]
+        if entry_set is None:
+            entry_set = self._table[index] = []
         for position, (tag, _) in enumerate(entry_set):
             if tag == pc:
                 del entry_set[position]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.caches.cache import AccessOutcome, SetAssociativeCache
+from repro.caches.cache import AccessOutcome, CacheStats, SetAssociativeCache
 from repro.timing.cacti import CacheGeometry
 
 
@@ -164,12 +164,22 @@ class AccountingCache(SetAssociativeCache):
             b_ways = self.geometry.associativity - a_ways
             if b_ways:
                 profile[b_ways] = profile.get(b_ways, 0) + 1
-            if position >= a_ways:
-                self.lifetime_b_hits += 1
-                self.stats.b_hits += 1
-                return AccessOutcome.HIT_B
-        self.lifetime_misses += 1
-        return AccessOutcome.MISS
+        if self.is_miss(position):
+            self.lifetime_misses += 1
+            return AccessOutcome.MISS
+        self.lifetime_b_hits += 1
+        self.stats.b_hits += 1
+        return AccessOutcome.HIT_B
+
+    def is_miss(self, position: int) -> bool:
+        """Whether a block found at MRU *position* (-1: absent) misses.
+
+        An access misses when the block is absent, or when it lies beyond
+        the A partition while the B partition is disabled.  :meth:`access`
+        classifies by this rule, and warm-up (which drives :meth:`lookup`
+        alone) uses it to decide when the next level is touched.
+        """
+        return position < 0 or (position >= self._a_ways and not self._b_enabled)
 
     def snapshot_interval(self) -> CacheIntervalStats:
         """Return a copy of the current interval counters."""
@@ -183,6 +193,11 @@ class AccountingCache(SetAssociativeCache):
         """Reset the per-interval counters (called by the controller)."""
         self.interval_stats.reset()
 
-    def reset_access_profile(self) -> None:
-        """Zero the energy-accounting probe histogram (post-warm-up)."""
+    def reset_statistics(self) -> None:
+        """Zero every counter while keeping the cache contents (post-warm-up)."""
+        self.stats = CacheStats()
+        self.interval_stats.reset()
+        self.lifetime_a_hits = 0
+        self.lifetime_b_hits = 0
+        self.lifetime_misses = 0
         self.access_profile.clear()

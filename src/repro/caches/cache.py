@@ -38,7 +38,9 @@ class SetAssociativeCache:
     """A set-associative cache with exact MRU ordering in every set.
 
     The cache is a timing/occupancy model only: it tracks which block
-    addresses are resident, not their data.
+    addresses are resident, not their data.  Sets are created on first
+    access, so a cache costs in proportion to the sets a run touches; an
+    untouched set behaves exactly like an empty one.
 
     Parameters
     ----------
@@ -53,7 +55,8 @@ class SetAssociativeCache:
         self.geometry = geometry
         self._block_bytes = geometry.block_bytes
         self._num_sets = geometry.num_sets
-        self._sets = [MRUSet(geometry.associativity) for _ in range(self._num_sets)]
+        self._ways = geometry.associativity
+        self._sets: list[MRUSet | None] = [None] * self._num_sets
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------ API
@@ -87,7 +90,11 @@ class SetAssociativeCache:
         # helpers (two extra calls and divisions) are folded in here.
         block = address // self._block_bytes
         num_sets = self._num_sets
-        position = self._sets[block % num_sets].access(block // num_sets)
+        index = block % num_sets
+        mru_set = self._sets[index]
+        if mru_set is None:
+            mru_set = self._sets[index] = MRUSet(self._ways)
+        position = mru_set.access(block // num_sets)
         stats = self.stats
         stats.accesses += 1
         if position < 0:
@@ -98,8 +105,8 @@ class SetAssociativeCache:
 
     def probe(self, address: int) -> int:
         """Return the MRU position of *address* without touching recency."""
-        index = self.set_index(address)
-        return self._sets[index].probe(self.tag(address))
+        mru_set = self._sets[self.set_index(address)]
+        return -1 if mru_set is None else mru_set.probe(self.tag(address))
 
     def contains(self, address: int) -> bool:
         """Return True if the block holding *address* is resident."""
@@ -107,14 +114,13 @@ class SetAssociativeCache:
 
     def invalidate(self, address: int) -> bool:
         """Invalidate the block holding *address*; return True if present."""
-        index = self.set_index(address)
-        return self._sets[index].invalidate(self.tag(address))
+        mru_set = self._sets[self.set_index(address)]
+        return mru_set is not None and mru_set.invalidate(self.tag(address))
 
     def flush(self) -> None:
         """Invalidate the entire cache."""
-        for mru_set in self._sets:
-            mru_set.flush()
+        self._sets = [None] * self._num_sets
 
     def resident_blocks(self) -> int:
         """Total number of valid blocks in the cache."""
-        return sum(s.occupancy for s in self._sets)
+        return sum(s.occupancy for s in self._sets if s is not None)

@@ -113,16 +113,8 @@ class CacheHierarchy:
     def reset_statistics(self) -> None:
         """Zero every counter while keeping cache contents (post-warm-up)."""
         self.stats = HierarchyStats()
-        for cache in (self.l1d, self.l2):
-            cache.reset_interval()
-            cache.stats.accesses = 0
-            cache.stats.hits = 0
-            cache.stats.misses = 0
-            cache.stats.b_hits = 0
-            cache.lifetime_a_hits = 0
-            cache.lifetime_b_hits = 0
-            cache.lifetime_misses = 0
-            cache.reset_access_profile()
+        self.l1d.reset_statistics()
+        self.l2.reset_statistics()
 
     # -------------------------------------------------------------- accesses
 

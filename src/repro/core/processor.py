@@ -38,7 +38,6 @@ from repro.isa.opcodes import (
     EXECUTION_LATENCY,
     FLAG_BRANCH,
     FLAG_MEMORY,
-    FLAG_STORE,
     FLAG_TAKEN,
     OpClass,
 )
@@ -158,6 +157,23 @@ class SimulationStalled(RuntimeError):
         # Rebuilt from the constructor arguments, so the error survives the
         # trip back from a worker process.
         return (SimulationStalled, (self.iterations, self.snapshot))
+
+
+def _sync_penalty_emitter(
+    recorder: TraceRecorder, rob: ReorderBuffer
+) -> Callable[[Picoseconds, str, str], None]:
+    """Trace hook: emit one recorded synchronisation penalty."""
+
+    def emit(time_ps: Picoseconds, producer: str, consumer: str) -> None:
+        recorder.emit(
+            SYNC_PENALTY,
+            time_ps,
+            rob.total_committed,
+            producer=producer,
+            consumer=consumer,
+        )
+
+    return emit
 
 
 class MCDProcessor:
@@ -349,10 +365,14 @@ class MCDProcessor:
             self._trace_horizon = recorder.wants(HORIZON_SKIP)
             if self._trace_sync:
                 # Penalties recorded inside SynchronizationModel.transfer
-                # reach the recorder through this callback; the two inlined
-                # penalty sites in _commit (which bypass transfer) emit
-                # directly under the same boolean.
-                self.sync.on_penalty = self._emit_sync_penalty
+                # reach the recorder through this callback; the inlined
+                # penalty sites in _commit and the scheduler's bulk sync
+                # accounting (which bypass transfer) call it directly under
+                # the same boolean.  It closes over the recorder and the ROB,
+                # not ``self``: a bound method would be a reference cycle.
+                self._emit_sync_penalty = self.sync.on_penalty = (
+                    _sync_penalty_emitter(recorder, self.rob)
+                )
         else:
             self._trace_interval = False
             self._trace_reconfig = False
@@ -396,7 +416,7 @@ class MCDProcessor:
             fetch_queue_capacity=self.params.fetch_queue_entries,
             decode_cycles=self.params.decode_cycles,
             use_b_partition=self.spec.use_b_partitions,
-            icache_miss_handler=self._service_icache_miss,
+            icache_miss_handler=self._icache_miss_service(),
         )
         if warmup_instructions > 0:
             self._warm_up(warmup_instructions)
@@ -412,19 +432,23 @@ class MCDProcessor:
         # Stream the warm-up window straight out of the compiled columns:
         # same accesses as warming per-instruction objects (I-cache once per
         # block, predictor/BTB per branch, data hierarchy per memory op), but
-        # with no Instruction materialisation at all.
+        # with no Instruction materialisation at all.  Only cache contents
+        # and recency are warmed: every counter and the memory model's state
+        # are reset below, so the caches are driven through their MRU
+        # lookups alone, the L2 exactly when the L1-D access misses.
         frontend = self.frontend
         assert frontend is not None
         trace = frontend.trace
         start = frontend.cursor
         end = min(trace.ensure(start + count), start + count)
-        ls_period = self.clocks[Domain.LOAD_STORE].period_ps
         icache = frontend.icache
-        icache_access = icache.access
+        icache_lookup = icache.lookup
         block_bytes = icache.geometry.block_bytes
         predict = frontend.predictor.predict_and_update
         btb_update = frontend.btb.update
-        access_data = self.hierarchy.access_data
+        l1d_lookup = self.hierarchy.l1d.lookup
+        l1d_is_miss = self.hierarchy.l1d.is_miss
+        l2_lookup = self.hierarchy.l2.lookup
         pc_col = trace.pc
         flags_col = trace.flags
         addr_col = trace.address
@@ -434,7 +458,7 @@ class MCDProcessor:
             pc = pc_col[index]
             block = pc // block_bytes
             if block != last_block:
-                icache_access(pc)
+                icache_lookup(pc)
                 last_block = block
             bits = flags_col[index]
             if bits & FLAG_BRANCH:
@@ -443,12 +467,9 @@ class MCDProcessor:
                 if taken:
                     btb_update(pc, target_col[index])
             if bits & FLAG_MEMORY:
-                access_data(
-                    addr_col[index],
-                    is_store=bool(bits & FLAG_STORE),
-                    now_ps=0,
-                    period_ps=ls_period,
-                )
+                address = addr_col[index]
+                if l1d_is_miss(l1d_lookup(address)):
+                    l2_lookup(address)
         frontend.advance_cursor(end - start)
         frontend.reset_warm_state()
         self.hierarchy.reset_statistics()
@@ -461,19 +482,6 @@ class MCDProcessor:
         self.fast_forward_cycles = 0
         self.steady_stretches_skipped = 0
         self.horizon_skipped_edges = 0
-
-    def _emit_sync_penalty(
-        self, time_ps: Picoseconds, producer: str, consumer: str
-    ) -> None:
-        """Trace hook: one recorded synchronisation penalty (see __init__)."""
-        assert self.recorder is not None
-        self.recorder.emit(
-            SYNC_PENALTY,
-            time_ps,
-            self.rob.total_committed,
-            producer=producer,
-            consumer=consumer,
-        )
 
     def _build_controllers(self) -> None:
         frontend = self.frontend
@@ -1361,15 +1369,25 @@ class MCDProcessor:
         redirect += extra_fe * fe_clock.period_ps
         frontend.resume_after_branch(branch, redirect)
 
-    def _service_icache_miss(self, address: int, now: Picoseconds) -> Picoseconds:
-        """Service an I-cache miss from the unified L2 across the boundary."""
-        fe_clock = self.clocks[Domain.FRONT_END]
-        ls_clock = self.clocks[Domain.LOAD_STORE]
-        request = self.sync.transfer(now, fe_clock, ls_clock)
-        ready = self.hierarchy.access_l2_for_instruction(
-            address, now_ps=request, period_ps=ls_clock.period_ps
-        )
-        return self.sync.transfer(ready, ls_clock, fe_clock)
+    def _icache_miss_service(self) -> Callable[[int, Picoseconds], Picoseconds]:
+        """The front end's I-cache miss handler: the unified L2 across the boundary.
+
+        It closes over the clocks, the synchroniser and the hierarchy, never
+        over ``self``: a bound method would make processor and front end a
+        reference cycle, so a finished processor (caches, DynInst pool and
+        all) would wait for the cyclic GC instead of being freed at once.
+        """
+        fe_clock = self._fe_clock
+        ls_clock = self._ls_clock
+        transfer = self.sync.transfer
+        access_l2 = self.hierarchy.access_l2_for_instruction
+
+        def service(address: int, now: Picoseconds) -> Picoseconds:
+            request = transfer(now, fe_clock, ls_clock)
+            ready = access_l2(address, now_ps=request, period_ps=ls_clock.period_ps)
+            return transfer(ready, ls_clock, fe_clock)
+
+        return service
 
     # ------------------------------------------------------------ adaptation
 
@@ -1488,44 +1506,28 @@ class MCDProcessor:
         if structure == "dcache":
             config = ADAPTIVE_DCACHE_CONFIGS[new_index]
             new_frequency = config.frequency_ghz
-            apply_structure = lambda: self.hierarchy.apply_config(config)  # noqa: E731
+            hierarchy = self.hierarchy
+            apply_structure = lambda: hierarchy.apply_config(config)  # noqa: E731
         else:
             config = ADAPTIVE_ICACHE_CONFIGS[new_index]
             new_frequency = config.frequency_ghz
             frontend = self.frontend
             assert frontend is not None
+            use_b = self.spec.use_b_partitions
             apply_structure = lambda: frontend.apply_icache_config(  # noqa: E731
-                config, use_b_partition=self.spec.use_b_partitions
+                config, use_b_partition=use_b
             )
         lock_time = self.pll.sample_lock_ps(self._last_interval_duration)
         upsizing = new_frequency < clock.frequency_ghz
-        self._changes_in_progress.add(domain)
         fire_time = now + lock_time
-        trace_freq = self._trace_freq
-
-        def finish() -> None:
-            old_frequency = clock.frequency_ghz
-            if upsizing:
-                apply_structure()
-            clock.set_frequency(new_frequency)
-            self._changes_in_progress.discard(domain)
-            if trace_freq:
-                assert self.recorder is not None
-                self.recorder.emit(
-                    FREQUENCY_CHANGE,
-                    fire_time,
-                    self.rob.total_committed,
-                    domain=domain.value,
-                    old_ghz=old_frequency,
-                    new_ghz=new_frequency,
-                )
-
         if not upsizing:
             # Downsizing: the smaller structure is safe at the old (slower)
             # frequency, so it switches immediately; the faster clock waits
             # for the PLL to re-lock.
             apply_structure()
-        self._pending_events.append((fire_time, finish))
+        self._schedule_relock(
+            domain, new_frequency, fire_time, apply_structure if upsizing else None
+        )
         self._record_configuration(structure, domain, new_index, now)
         if self._trace_reconfig:
             assert self.recorder is not None
@@ -1542,6 +1544,44 @@ class MCDProcessor:
                 effective_time_ps=fire_time,
             )
 
+    def _schedule_relock(
+        self,
+        domain: Domain,
+        new_frequency: float,
+        fire_time: Picoseconds,
+        apply_on_lock: Callable[[], None] | None,
+    ) -> None:
+        """Queue *domain*'s PLL re-lock to *new_frequency* at *fire_time*.
+
+        *apply_on_lock* (an upsized structure, safe only once the slower
+        clock runs) is applied first.  The event closes over what it
+        touches, never over ``self``, so a re-lock still pending when the
+        run ends leaves no reference cycle (see _icache_miss_service).
+        """
+        clock = self.clocks[domain]
+        changes_in_progress = self._changes_in_progress
+        changes_in_progress.add(domain)
+        recorder = self.recorder if self._trace_freq else None
+        rob = self.rob
+
+        def finish() -> None:
+            old_frequency = clock.frequency_ghz
+            if apply_on_lock is not None:
+                apply_on_lock()
+            clock.set_frequency(new_frequency)
+            changes_in_progress.discard(domain)
+            if recorder is not None:
+                recorder.emit(
+                    FREQUENCY_CHANGE,
+                    fire_time,
+                    rob.total_committed,
+                    domain=domain.value,
+                    old_ghz=old_frequency,
+                    new_ghz=new_frequency,
+                )
+
+        self._pending_events.append((fire_time, finish))
+
     def _apply_queue_change(
         self,
         controller: PhaseAdaptiveQueueController,
@@ -1550,34 +1590,16 @@ class MCDProcessor:
         new_size: int,
         now: Picoseconds,
     ) -> None:
-        clock = self.clocks[domain]
         new_frequency = ISSUE_QUEUE_FREQUENCY_GHZ[new_size]
         upsizing = new_size > queue.capacity
         lock_time = self.pll.sample_lock_ps(self._last_interval_duration or None)
-        self._changes_in_progress.add(domain)
         fire_time = now + lock_time
-        trace_freq = self._trace_freq
-
-        def finish() -> None:
-            old_frequency = clock.frequency_ghz
-            if upsizing:
-                queue.set_capacity(new_size)
-            clock.set_frequency(new_frequency)
-            self._changes_in_progress.discard(domain)
-            if trace_freq:
-                assert self.recorder is not None
-                self.recorder.emit(
-                    FREQUENCY_CHANGE,
-                    fire_time,
-                    self.rob.total_committed,
-                    domain=domain.value,
-                    old_ghz=old_frequency,
-                    new_ghz=new_frequency,
-                )
-
+        resize = lambda: queue.set_capacity(new_size)  # noqa: E731
         if not upsizing:
-            queue.set_capacity(new_size)
-        self._pending_events.append((fire_time, finish))
+            resize()
+        self._schedule_relock(
+            domain, new_frequency, fire_time, resize if upsizing else None
+        )
         structure = "int-queue" if domain is Domain.INTEGER else "fp-queue"
         self._configuration_changes.append(
             ConfigurationChange(

@@ -262,12 +262,7 @@ class FrontEnd:
         """Clear warmup bookkeeping and statistics before a measured run."""
         self._last_block = None
         self._measured_from = self._cursor
-        self.icache.reset_interval()
-        self.icache.stats.accesses = 0
-        self.icache.stats.hits = 0
-        self.icache.stats.misses = 0
-        self.icache.stats.b_hits = 0
-        self.icache.reset_access_profile()
+        self.icache.reset_statistics()
         self.stats = FrontEndStats()
         self.predictor.stats.predictions = 0
         self.predictor.stats.mispredictions = 0

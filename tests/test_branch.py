@@ -135,11 +135,20 @@ class TestHybridPredictor:
 
 
 class TestBTB:
-    def test_miss_then_hit(self):
+    @pytest.mark.parametrize(
+        "other_pc",
+        # 64 sets: the first shares 0x4000's set, the second's set is never
+        # updated.
+        [0x4000 + 64 * 4, 0x4004],
+        ids=["updated-set", "never-updated-set"],
+    )
+    def test_miss_then_hit(self, other_pc):
         btb = BranchTargetBuffer(entries=256, associativity=4)
         assert btb.lookup(0x4000) is None
         btb.update(0x4000, 0x8000)
         assert btb.lookup(0x4000) == 0x8000
+        assert btb.lookup(other_pc) is None
+        assert (btb.hits, btb.misses) == (1, 2)
 
     def test_capacity_eviction(self):
         btb = BranchTargetBuffer(entries=8, associativity=1)

@@ -11,6 +11,7 @@ from repro.caches import (
     SetAssociativeCache,
 )
 from repro.timing.cacti import CacheGeometry
+from repro.timing.tables import ADAPTIVE_DCACHE_CONFIGS
 
 
 class TestMRUSet:
@@ -97,19 +98,38 @@ class TestSetAssociativeCache:
         cache.lookup(0x4000)
         assert cache.lookup(0x4038) == 0
 
-    def test_contains_and_invalidate(self):
-        cache = SetAssociativeCache(self.geometry())
-        cache.lookup(0x8000)
-        assert cache.contains(0x8000)
-        assert cache.invalidate(0x8000)
+    @pytest.mark.parametrize(
+        "geometry, touched",
+        [
+            (CacheGeometry(size_kb=32, associativity=4, sub_banks=32), True),
+            # Sets are built on first access: a fresh 2 MB L2 has none yet.
+            (ADAPTIVE_DCACHE_CONFIGS[-1].l2, False),
+        ],
+        ids=["touched-set", "fresh-2MB-L2"],
+    )
+    def test_contains_and_invalidate(self, geometry, touched):
+        cache = SetAssociativeCache(geometry)
+        if touched:
+            cache.lookup(0x8000)
+        assert cache.probe(0x8000) == (0 if touched else -1)
+        assert cache.contains(0x8000) is touched
+        assert cache.invalidate(0x8000) is touched
         assert not cache.contains(0x8000)
+        assert not cache.invalidate(0x8000)
+        assert cache.resident_blocks() == 0
 
-    def test_flush_empties_cache(self):
+    @pytest.mark.parametrize("blocks", [0, 100])
+    def test_flush_empties_cache(self, blocks):
         cache = SetAssociativeCache(self.geometry())
-        for index in range(100):
+        for index in range(blocks):
             cache.lookup(index * 64)
         cache.flush()
         assert cache.resident_blocks() == 0
+        assert cache.probe(0) == -1
+        # A flushed cache fills again from empty sets.
+        assert cache.lookup(0) == -1
+        assert cache.lookup(0) == 0
+        assert cache.resident_blocks() == 1
 
     def test_conflict_evictions_in_direct_mapped(self):
         cache = SetAssociativeCache(self.geometry(assoc=1))

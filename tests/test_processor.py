@@ -1,9 +1,12 @@
 """Integration tests for the MCD processor simulator."""
 
 import dataclasses
+import gc
 import pickle
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.metrics import RunResult
 from repro.core import (
@@ -16,6 +19,11 @@ from repro.core import (
     base_adaptive_spec,
     best_overall_synchronous_spec,
 )
+from repro.engine import SimulationJob, SpecKind
+from repro.engine.runner import run_job
+from repro.isa import Instruction, OpClass
+from repro.obs.options import TraceOptions
+from repro.timing.tables import ADAPTIVE_DCACHE_CONFIGS, ADAPTIVE_ICACHE_CONFIGS
 from repro.workloads import SyntheticTraceGenerator, WorkloadProfile
 
 
@@ -278,3 +286,169 @@ class TestNoProgressGuard:
         assert type(copy) is SimulationStalled
         assert copy.snapshot == error.snapshot
         assert str(copy) == str(error)
+
+
+
+class TestNoReferenceCycle:
+    """A finished processor is freed by refcounting, not the cyclic GC.
+
+    Every job builds a processor holding full-size caches and a DynInst
+    pool; a reference cycle through it would keep all of that alive until
+    the next cyclic collection.
+    """
+
+    @staticmethod
+    def run_tracked(monkeypatch, base, job):
+        """Run *job* through ``run_job`` with the cyclic GC off.
+
+        Returns the result (``None`` if the run stalled) and whatever the
+        weak reference to the job's processor still points at.
+        """
+        built = []
+
+        class Tracked(base):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr("repro.engine.runner.MCDProcessor", Tracked)
+        result = None
+        gc.disable()
+        try:
+            try:
+                result = run_job(job)
+            except SimulationStalled:
+                pass
+            (processor,) = built
+            return result, processor()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_finished_processor_needs_no_cyclic_gc(
+        self, tiny_profile, monkeypatch, tmp_path, traced
+    ):
+        # Eager controllers with a long PLL lock: reconfigurations are still
+        # pending when the window ends, so the scheduled events are covered.
+        job = SimulationJob(
+            profile=tiny_profile,
+            phase_adaptive=True,
+            window=1500,
+            warmup=1500,
+            control_overrides={
+                "interval_instructions": 100,
+                "cache_hysteresis": 0.0,
+                "queue_hysteresis": 0.0,
+                "queue_consecutive_decisions": 1,
+                "pll_interval_scaled": False,
+            },
+            trace=TraceOptions(str(tmp_path / "run.jsonl")) if traced else None,
+        )
+        result, processor = self.run_tracked(monkeypatch, MCDProcessor, job)
+        assert result.configuration_changes
+        assert processor is None
+
+    def test_stalled_processor_needs_no_cyclic_gc(self, tiny_profile, monkeypatch):
+        monkeypatch.setattr("repro.core.processor._DEADLOCK_LIMIT", 2_000)
+        job = SimulationJob(
+            profile=tiny_profile, spec_kind=SpecKind.BEST_SYNCHRONOUS, window=500
+        )
+        result, processor = self.run_tracked(monkeypatch, NeverCommits, job)
+        assert result is None
+        assert processor is None
+
+
+class WarmOnly(MCDProcessor):
+    """Stops after warm-up, leaving the caches as warm-up made them."""
+
+    def _main_loop(self, max_instructions):
+        pass
+
+    def _build_result(self, workload_name):
+        return None
+
+
+class TimedPathWarmUp(WarmOnly):
+    """The reference: warm-up through the full timed access paths."""
+
+    def _warm_up(self, count):
+        frontend = self.frontend
+        period = self._ls_clock.period_ps
+        for _ in range(count):
+            instruction = frontend.take_instruction()
+            frontend.warm(instruction)
+            if instruction.is_memory_op:
+                self.hierarchy.access_data(
+                    instruction.address,
+                    is_store=instruction.is_store,
+                    now_ps=0,
+                    period_ps=period,
+                )
+
+
+def cache_contents(cache):
+    """The tags of every non-empty set in MRU order, by set index."""
+    return {
+        index: mru_set.tags_in_mru_order()
+        for index, mru_set in enumerate(cache._sets)
+        if mru_set is not None and mru_set.occupancy
+    }
+
+
+# Block numbers that all map to a handful of sets in every cache (4,096 is
+# the largest set count and a multiple of every other), with more tags per
+# set than the 8 ways, so the streams force A/B hits, misses and evictions.
+_conflicting_addresses = st.builds(
+    lambda set_, tag, offset: ((tag * 4096 + set_) * 64 + offset),
+    st.integers(0, 3),
+    st.integers(0, 11),
+    st.integers(0, 63),
+)
+_instructions = st.lists(
+    st.tuples(
+        _conflicting_addresses,
+        st.sampled_from([OpClass.INT_ALU, OpClass.LOAD, OpClass.STORE]),
+        _conflicting_addresses,
+    ).map(
+        lambda row: Instruction(
+            pc=row[0] & ~3,
+            op=row[1],
+            address=row[2] if row[1] is not OpClass.INT_ALU else None,
+        )
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+class TestWarmUp:
+    @given(
+        instructions=_instructions,
+        dcache_index=st.sampled_from(range(len(ADAPTIVE_DCACHE_CONFIGS))),
+        icache_index=st.sampled_from(range(len(ADAPTIVE_ICACHE_CONFIGS))),
+        b_enabled=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mru_only_warm_up_matches_the_timed_access_paths(
+        self, instructions, dcache_index, icache_index, b_enabled
+    ):
+        spec = adaptive_mcd_spec(
+            AdaptiveConfigIndices(icache_index=icache_index, dcache_index=dcache_index),
+            use_b_partitions=b_enabled,
+        )
+        warmed = []
+        for cls in (WarmOnly, TimedPathWarmUp):
+            processor = cls(spec)
+            processor.run(
+                instructions,
+                max_instructions=1,
+                warmup_instructions=len(instructions),
+            )
+            warmed.append(processor)
+        fast, reference = warmed
+        for caches in (
+            lambda p: p.hierarchy.l1d,
+            lambda p: p.hierarchy.l2,
+            lambda p: p.frontend.icache,
+        ):
+            assert cache_contents(caches(fast)) == cache_contents(caches(reference))
