@@ -19,10 +19,8 @@ from repro.core import (
     base_adaptive_spec,
     best_overall_synchronous_spec,
 )
-from repro.engine import SimulationJob, SpecKind
-from repro.engine.runner import run_job
+from repro.engine import SimulationJob, SpecKind, TraceOptions, run_job
 from repro.isa import Instruction, OpClass
-from repro.obs.options import TraceOptions
 from repro.timing.tables import ADAPTIVE_DCACHE_CONFIGS, ADAPTIVE_ICACHE_CONFIGS
 from repro.workloads import SyntheticTraceGenerator, WorkloadProfile
 
@@ -288,7 +286,6 @@ class TestNoProgressGuard:
         assert str(copy) == str(error)
 
 
-
 class TestNoReferenceCycle:
     """A finished processor is freed by refcounting, not the cyclic GC.
 
@@ -313,6 +310,7 @@ class TestNoReferenceCycle:
 
         monkeypatch.setattr("repro.engine.runner.MCDProcessor", Tracked)
         result = None
+        was_enabled = gc.isenabled()
         gc.disable()
         try:
             try:
@@ -322,7 +320,8 @@ class TestNoReferenceCycle:
             (processor,) = built
             return result, processor()
         finally:
-            gc.enable()
+            if was_enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     def test_finished_processor_needs_no_cyclic_gc(
