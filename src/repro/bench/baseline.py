@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.artifacts import write_text_atomic
 from repro.bench.schema import BenchEntry
 
 #: Default allowed slow-down before a run counts as a regression.
@@ -111,4 +112,4 @@ def save_baseline(path: Path, entries: dict[str, BenchEntry]) -> None:
     """Write *entries* as the committed baseline (sorted, stable layout)."""
     payload = {suite: entries[suite].to_dict() for suite in sorted(entries)}
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")

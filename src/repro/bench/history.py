@@ -106,8 +106,7 @@ def load_trajectories(
 
     Experiment keys follow the recording layer (a file can hold several —
     ``BENCH_sweep.json`` carries the sweep, sensitivity, energy and
-    scenarios trajectories).  Schema-invalid entries are skipped, matching
-    :func:`repro.bench.recording.latest_entry`'s tolerance for old rows.
+    scenarios trajectories).  Schema-invalid entries (old rows) are skipped.
     *limit* keeps only the newest N rows per experiment.
     """
     output_dir = Path(output_dir)

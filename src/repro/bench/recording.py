@@ -13,6 +13,7 @@ import os
 from pathlib import Path
 from typing import Any
 
+from repro.artifacts import write_text_atomic
 from repro.bench.schema import BenchEntry
 
 #: Recorded entries kept per experiment (oldest dropped first).
@@ -62,28 +63,12 @@ def load_history(path: Path) -> dict[str, list[dict[str, Any]]]:
 
 
 def append_entry(
-    path: Path,
-    entry: BenchEntry | dict[str, Any],
-    *,
-    experiment: str | None = None,
-    limit: int = BENCH_HISTORY_LIMIT,
+    path: Path, entry: BenchEntry | dict[str, Any], *, limit: int = BENCH_HISTORY_LIMIT
 ) -> None:
-    """Append *entry* under *experiment* (default: the entry's suite name)."""
+    """Append *entry* under its suite name (atomically: a torn file loads as empty)."""
     payload = entry.to_dict() if isinstance(entry, BenchEntry) else dict(entry)
-    key = experiment if experiment is not None else str(payload.get("suite", "default"))
     data = load_history(path)
-    history = data.setdefault(key, [])
+    history = data.setdefault(str(payload.get("suite", "default")), [])
     history.append(payload)
     del history[:-limit]
-    path.write_text(json.dumps(data, indent=2) + "\n")
-
-
-def latest_entry(path: Path, experiment: str) -> BenchEntry | None:
-    """The newest schema-valid entry recorded under *experiment*, if any."""
-    history = load_history(path).get(experiment, [])
-    for payload in reversed(history):
-        try:
-            return BenchEntry.from_dict(payload)
-        except (ValueError, KeyError, TypeError):
-            continue
-    return None
+    write_text_atomic(path, json.dumps(data, indent=2) + "\n")

@@ -34,8 +34,8 @@ from repro.workloads import get_workload
 #: memory-bound code, a strongly phased application and an FP code.
 QUICK_SWEEP_WORKLOADS = ("gcc", "em3d", "adpcm_encode", "apsi")
 
-#: Representative 16-application subset used by the full sweep (matches the
-#: benchmark harness's historical default).
+#: Representative 16-application subset used by the full sweep and by the
+#: paper-claims test (``benchmarks/test_paper_claims.py``).
 FULL_SWEEP_WORKLOADS = (
     "adpcm_encode", "adpcm_decode", "g721_encode", "jpeg_compress",
     "mpeg2_encode", "gsm_encode", "ghostscript", "power",

@@ -27,13 +27,13 @@ from __future__ import annotations
 import copy
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
 from repro.analysis.metrics import RunResult
+from repro.artifacts import write_text_atomic
 from repro.engine.job import FINGERPRINT_VERSION
 
 
@@ -248,25 +248,7 @@ class ResultCache:
             "version": FINGERPRINT_VERSION,
             "result": stored.to_dict(),
         }
-        self._write_payload(path, json.dumps(payload))
-
-    def _write_payload(self, path: Path, text: str) -> None:
-        # Write-then-rename keeps concurrent readers from seeing partial files.
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self._directory, prefix=".tmp-", suffix=".json", delete=False
-        )
-        try:
-            with handle:
-                handle.write(text)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except FileNotFoundError:
-                # A concurrent clear() in another cache instance may have
-                # reaped the temp file already; don't mask the original error.
-                pass
-            raise
+        write_text_atomic(path, json.dumps(payload))
 
     # ------------------------------------------------------------------ merge
 
@@ -346,7 +328,7 @@ class ResultCache:
                     f"fingerprint — the stores were produced by diverging "
                     f"code and must not be mixed"
                 )
-            self._write_payload(destination, text)
+            write_text_atomic(destination, text)
             report.merged += 1
         self.stats.merged_entries += report.merged
         self.stats.merge_duplicates += report.duplicates

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.artifacts import ArtifactSchemaError
+
 __all__ = [
     "CONTROLLER_INTERVAL",
     "EVENT_TYPES",
@@ -82,7 +84,7 @@ EVENT_TYPES = frozenset(
 )
 
 
-class TraceSchemaError(ValueError):
+class TraceSchemaError(ArtifactSchemaError):
     """A trace file or event was written under an incompatible schema."""
 
 

@@ -19,11 +19,11 @@ so a concurrent scraper never sees a torn snapshot.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.artifacts import write_text_atomic
 from repro.obs.metrics import EngineMetrics, Histogram
 
 __all__ = [
@@ -105,19 +105,13 @@ def prometheus_text(
     return "\n".join(lines) + "\n"
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f".tmp-{path.name}")
-    temp.write_text(text, encoding="utf-8")
-    os.replace(temp, path)
-
-
 def write_prometheus_snapshot(
     path: str | Path, metrics: EngineMetrics, *, labels: Mapping[str, str] | None = None
 ) -> Path:
     """Atomically write a Prometheus textfile snapshot to *path*."""
     path = Path(path)
-    _write_atomic(path, prometheus_text(metrics, labels=labels))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(path, prometheus_text(metrics, labels=labels))
     return path
 
 
@@ -131,7 +125,8 @@ def write_json_snapshot(
         "metrics": metrics.to_dict(),
         "exported": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -24,9 +24,9 @@ File layout (``*.ledger.jsonl``)::
     {"record": "batch",  ...}                                  <- one per batch
     {"record": "submit", ...}                                  <- one per async sim
 
-:func:`read_ledger` validates the header (and every record line) the same
-way :func:`repro.obs.recorder.read_trace` validates traces: foreign, stale
-or truncated files raise :class:`LedgerSchemaError` instead of misparsing.
+:func:`read_ledger` validates the header (and every record line) with the
+reader :func:`repro.obs.recorder.read_trace` uses: foreign, stale or
+truncated files raise :class:`LedgerSchemaError` instead of misparsing.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping, Sequence
 
+from repro.artifacts import ArtifactSchemaError, JsonlFormat, write_text_atomic
 from repro.obs.metrics import EngineMetrics
 
 __all__ = [
@@ -58,10 +59,6 @@ __all__ = [
 #: changes shape; readers refuse other versions.
 LEDGER_SCHEMA_VERSION = 1
 
-#: Marker stored in the header line so arbitrary JSONL files (including
-#: trace files, which share the container format) are never misread.
-_LEDGER_KIND = "repro-obs-ledger"
-
 #: Canonical file suffix; :func:`ledger_files` discovers by it.
 LEDGER_SUFFIX = ".ledger.jsonl"
 
@@ -69,30 +66,25 @@ LEDGER_SUFFIX = ".ledger.jsonl"
 _RECORD_TYPES = frozenset({"batch", "submit"})
 
 
-class LedgerSchemaError(ValueError):
+class LedgerSchemaError(ArtifactSchemaError):
     """A ledger file is foreign, truncated, or from another schema version."""
+
+
+_LEDGER_FORMAT = JsonlFormat(
+    kind="repro-obs-ledger",
+    schema=LEDGER_SCHEMA_VERSION,
+    noun="ledger",
+    error=LedgerSchemaError,
+    torn=(
+        "truncated or malformed ledger record ({error}); the writer may have "
+        "been killed mid-append — repair by deleting the torn final line"
+    ),
+)
 
 
 def ledger_header(meta: Mapping[str, Any] | None = None) -> dict[str, Any]:
     """The JSONL header object for a new ledger file."""
-    return {
-        "kind": _LEDGER_KIND,
-        "schema": LEDGER_SCHEMA_VERSION,
-        "meta": dict(meta) if meta else {},
-    }
-
-
-def _validate_header(header: Any, path: Path) -> dict[str, Any]:
-    if not isinstance(header, dict) or header.get("kind") != _LEDGER_KIND:
-        raise LedgerSchemaError(f"{path} is not a {_LEDGER_KIND} file")
-    schema = header.get("schema")
-    if schema != LEDGER_SCHEMA_VERSION:
-        raise LedgerSchemaError(
-            f"{path} was written under ledger schema {schema!r}, but this "
-            f"build reads schema {LEDGER_SCHEMA_VERSION}; regenerate the ledger"
-        )
-    meta = header.get("meta", {})
-    return dict(meta) if isinstance(meta, dict) else {}
+    return _LEDGER_FORMAT.header(meta)
 
 
 class LedgerWriter:
@@ -189,6 +181,13 @@ def open_ledger(
     return LedgerWriter(directory / name, meta=header_meta)
 
 
+def _record(record: Any) -> dict[str, Any]:
+    if not isinstance(record, dict) or record.get("record") not in _RECORD_TYPES:
+        kind = record.get("record") if isinstance(record, dict) else record
+        raise LedgerSchemaError(f"unknown ledger record {kind!r}")
+    return record
+
+
 def read_ledger(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Parse a ledger file into ``(header_meta, records)``.
 
@@ -198,35 +197,7 @@ def read_ledger(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]
     misparse, and a torn tail line (killed writer) must surface rather than
     silently shortening the campaign's history.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first.strip():
-            raise LedgerSchemaError(f"{path} is empty; not a ledger file")
-        try:
-            header = json.loads(first)
-        except ValueError as error:
-            raise LedgerSchemaError(f"{path} has no JSON header line: {error}") from error
-        meta = _validate_header(header, path)
-        records: list[dict[str, Any]] = []
-        for line_number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as error:
-                raise LedgerSchemaError(
-                    f"{path}:{line_number}: truncated or malformed ledger "
-                    f"record ({error}); the writer may have been killed "
-                    f"mid-append — repair by deleting the torn final line"
-                ) from error
-            if not isinstance(record, dict) or record.get("record") not in _RECORD_TYPES:
-                raise LedgerSchemaError(
-                    f"{path}:{line_number}: unknown ledger record "
-                    f"{record.get('record') if isinstance(record, dict) else record!r}"
-                )
-            records.append(record)
-    return meta, records
+    return _LEDGER_FORMAT.read(path, _record)
 
 
 def ledger_files(source: str | Path) -> list[Path]:
@@ -261,11 +232,12 @@ def merge_ledgers(destination: str | Path, sources: Sequence[str | Path]) -> int
     Mirrors :meth:`repro.engine.cache.ResultCache.merge`: every source file
     is fully validated (header kind, schema version, every record line)
     *before* anything is written, so a foreign or torn source refuses the
-    merge instead of half-applying it.  Records keep their per-file order,
-    with files processed in sorted-name order; each record is annotated
-    with its source ledger's shard identity (``shard`` key, when absent) so
-    the fused view keeps per-worker attribution.  Returns the number of
-    records written.
+    merge instead of half-applying it, and *destination* is replaced
+    atomically, so a failed write keeps the old file.  Records keep their
+    per-file order, with files processed in sorted-name order; each record is
+    annotated with its source ledger's shard identity (``shard`` key, when
+    absent) so the fused view keeps per-worker attribution.  Returns the
+    number of records written.
     """
     paths = _expand_sources(sources)
     destination = Path(destination)
@@ -298,19 +270,17 @@ def merge_ledgers(destination: str | Path, sources: Sequence[str | Path]) -> int
     if versions:
         merged_meta["fingerprint_version"] = int(versions[0])
 
+    lines = [json.dumps(ledger_header(merged_meta), sort_keys=True)]
+    for (meta, records), path in zip(loaded, paths):
+        shard = meta.get("shard")
+        for record in records:
+            annotated = dict(record)
+            annotated.setdefault("shard", shard)
+            annotated.setdefault("source_ledger", path.name)
+            lines.append(json.dumps(annotated, sort_keys=True))
     destination.parent.mkdir(parents=True, exist_ok=True)
-    written = 0
-    with destination.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(ledger_header(merged_meta), sort_keys=True) + "\n")
-        for (meta, records), path in zip(loaded, paths):
-            shard = meta.get("shard")
-            for record in records:
-                annotated = dict(record)
-                annotated.setdefault("shard", shard)
-                annotated.setdefault("source_ledger", path.name)
-                handle.write(json.dumps(annotated, sort_keys=True) + "\n")
-                written += 1
-    return written
+    write_text_atomic(destination, "\n".join(lines) + "\n")
+    return len(lines) - 1
 
 
 # ------------------------------------------------------------- aggregation

@@ -29,6 +29,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
+from repro.artifacts import JsonlFormat
 from repro.obs.events import EVENT_TYPES, SCHEMA_VERSION, TraceEvent, TraceSchemaError
 
 __all__ = [
@@ -39,9 +40,13 @@ __all__ = [
     "trace_header",
 ]
 
-#: Marker stored in the JSONL header line so arbitrary JSON files are not
-#: misread as traces.
-_TRACE_KIND = "repro-obs-trace"
+_TRACE_FORMAT = JsonlFormat(
+    kind="repro-obs-trace",
+    schema=SCHEMA_VERSION,
+    noun="trace",
+    error=TraceSchemaError,
+    torn="malformed trace event ({error})",
+)
 
 
 class TraceSink(Protocol):
@@ -104,11 +109,7 @@ class JsonlSink:
 
 def trace_header(meta: Mapping[str, Any] | None = None) -> dict[str, Any]:
     """The JSONL header object for a new trace file."""
-    return {
-        "kind": _TRACE_KIND,
-        "schema": SCHEMA_VERSION,
-        "meta": dict(meta) if meta else {},
-    }
+    return _TRACE_FORMAT.header(meta)
 
 
 class TraceRecorder:
@@ -194,35 +195,8 @@ class TraceRecorder:
 def read_trace(path: str | Path) -> tuple[dict[str, Any], list[TraceEvent]]:
     """Parse a JSONL trace file into ``(header_meta, events)``.
 
-    Raises :class:`TraceSchemaError` when the file is not a trace or was
-    written under a different :data:`~repro.obs.events.SCHEMA_VERSION` —
-    a versioned format must reject, not misparse.
+    Raises :class:`TraceSchemaError` when the file is not a trace, was
+    written under a different :data:`~repro.obs.events.SCHEMA_VERSION` or
+    holds a malformed event — a versioned format must reject, not misparse.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first.strip():
-            raise TraceSchemaError(f"{path} is empty; not a trace file")
-        try:
-            header = json.loads(first)
-        except ValueError as error:
-            raise TraceSchemaError(f"{path} has no JSON header line: {error}") from error
-        if not isinstance(header, dict) or header.get("kind") != _TRACE_KIND:
-            raise TraceSchemaError(f"{path} is not a {_TRACE_KIND} file")
-        schema = header.get("schema")
-        if schema != SCHEMA_VERSION:
-            raise TraceSchemaError(
-                f"{path} was written under trace schema {schema!r}, but this "
-                f"build reads schema {SCHEMA_VERSION}; regenerate the trace"
-            )
-        events = []
-        for line_number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                events.append(TraceEvent.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as error:
-                raise TraceSchemaError(
-                    f"{path}:{line_number}: malformed trace event ({error})"
-                ) from error
-    return dict(header.get("meta", {})), events
+    return _TRACE_FORMAT.read(path, TraceEvent.from_dict)

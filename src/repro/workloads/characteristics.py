@@ -137,8 +137,8 @@ class WorkloadProfile:
         dynamic parameters for ``length`` instructions.
 
     ``simulation_window`` is the scaled-down stand-in for the 100 M-200 M
-    instruction windows of Tables 6-8 and is what the benchmark harness uses
-    by default.
+    instruction windows of Tables 6-8, simulated whenever a job names no
+    window.
     """
 
     name: str

@@ -13,7 +13,7 @@ from repro.bench.baseline import (
     save_baseline,
 )
 from repro.bench.environment import EnvironmentFingerprint
-from repro.bench.recording import append_entry, latest_entry, load_history
+from repro.bench.recording import append_entry, load_history
 from repro.bench.schema import SCHEMA_VERSION, BenchEntry, BenchRun, validate_entry
 from repro.bench.timer import calibrate, timed
 
@@ -166,9 +166,7 @@ class TestRecordingAndBaseline:
         history = load_history(path)
         assert list(history) == ["sweep"]
         assert len(history["sweep"]) == 2
-        newest = latest_entry(path, "sweep")
-        assert newest is not None
-        assert newest.runs[0].seconds == pytest.approx(2.0)
+        assert history["sweep"][-1]["runs"][0]["seconds"] == pytest.approx(2.0)
 
     def test_history_limit_drops_oldest(self, tmp_path):
         path = tmp_path / "BENCH_sweep.json"

@@ -6,7 +6,8 @@ equivalent to the single process (a merged N-shard ledger summarizes to
 the same partition-independent equivalence key as one process running the
 whole job list).  The rest covers the JSONL schema validation (foreign,
 stale and truncated files reject loudly), ``merge_ledgers``'
-validate-before-write contract, the metrics ``from_dict``/``merge``
+validate-before-write contract, the atomic replacement of every rewritten
+file, the metrics ``from_dict``/``merge``
 round-trips, the Prometheus/JSON exporters, the campaign report renderer,
 the ``bench history`` trajectory analysis and the CLI surfaces.
 """
@@ -14,18 +15,23 @@ the ``bench history`` trajectory analysis and the CLI surfaces.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from golden_digests import golden_jobs, result_digest
+from repro.artifacts import ArtifactSchemaError
+from repro.bench.baseline import save_baseline
 from repro.bench.environment import EnvironmentFingerprint
 from repro.bench.history import load_trajectories, render_history
+from repro.bench.recording import append_entry
 from repro.bench.schema import BenchEntry, BenchRun
 from repro.engine import ExperimentEngine, run_job
 from repro.engine.cache import ResultCache
 from repro.engine.cli import inspect_store
 from repro.engine.fabric import ShardSpec, run_shard
 from repro.obs.cli import main as obs_main
+from repro.obs.events import TraceSchemaError
 from repro.obs.export import (
     prometheus_text,
     write_json_snapshot,
@@ -43,6 +49,7 @@ from repro.obs.ledger import (
     summarize_ledgers,
 )
 from repro.obs.metrics import EngineMetrics, Histogram
+from repro.obs.recorder import read_trace
 from repro.obs.report import render_histogram, render_report
 from test_golden_values import GOLDEN_DIGESTS
 
@@ -53,6 +60,15 @@ def _sample_metrics(values=(0.002, 0.05, 0.4, 2.0)) -> EngineMetrics:
         metrics.record_job(value, value * 2)
     metrics.record_batch(sum(values), 2)
     return metrics
+
+
+def _fail_renames(monkeypatch) -> None:
+    """Make every rename fail, as a full disk would."""
+
+    def replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", replace)
 
 
 # ------------------------------------------------------------ bit-identity
@@ -219,6 +235,17 @@ def test_read_ledger_rejects_foreign_stale_and_truncated(tmp_path):
         read_ledger(alien_record)
 
 
+@pytest.mark.parametrize(
+    "read, error", [(read_trace, TraceSchemaError), (read_ledger, LedgerSchemaError)]
+)
+def test_traces_and_ledgers_share_one_schema_reader(tmp_path, read, error):
+    assert issubclass(error, ArtifactSchemaError)
+    foreign = tmp_path / "foreign.jsonl"
+    foreign.write_text('{"kind": "something-else", "schema": 1}\n')
+    with pytest.raises(error, match="is not a repro-obs-"):
+        read(foreign)
+
+
 def test_ledger_files_discovers_directory_sorted(tmp_path):
     for name in ("b", "a"):
         with LedgerWriter(tmp_path / f"{name}.ledger.jsonl"):
@@ -284,6 +311,20 @@ def test_merge_ledgers_validates_all_sources_before_writing(tmp_path):
     with pytest.raises(LedgerSchemaError):
         merge_ledgers(destination, [tmp_path / "shards"])
     assert not destination.exists(), "a refused merge must not half-write"
+
+
+def test_failed_ledger_merge_keeps_the_old_destination(tmp_path, monkeypatch):
+    with open_ledger(tmp_path / "shards", label="good") as writer:
+        writer.append({"record": "batch", "jobs": 1})
+    destination = tmp_path / "merged.ledger.jsonl"
+    with open_ledger(tmp_path, label="merged") as writer:
+        writer.append({"record": "batch", "jobs": 2})
+    old = destination.read_bytes()
+    _fail_renames(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        merge_ledgers(destination, [tmp_path / "shards"])
+    assert destination.read_bytes() == old
+    assert list(tmp_path.glob(".tmp-*")) == []
 
 
 # ------------------------------------------------- engine/fabric integration
@@ -411,6 +452,32 @@ def test_snapshot_writers_dispatch_on_extension(tmp_path):
         == prom.read_text()
     )
     write_json_snapshot(tmp_path / "direct.json", metrics, labels={"a": "b"})
+
+
+def _save_baseline(path, seconds):
+    save_baseline(path, {"sweep": BenchEntry.from_dict(_bench_entry(seconds, 0.1))})
+
+
+#: Writers of files that are rewritten whole, keyed by file name.
+_REWRITERS = {
+    "out.prom": lambda path, n: write_prometheus_snapshot(path, _sample_metrics((n,))),
+    "out.json": lambda path, n: write_json_snapshot(path, _sample_metrics((n,))),
+    "BENCH_sweep.json": lambda path, n: append_entry(path, _bench_entry(n, 0.1)),
+    "baseline.json": _save_baseline,
+}
+
+
+@pytest.mark.parametrize("name", list(_REWRITERS))
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    write = _REWRITERS[name]
+    write(path, 1.0)
+    old = path.read_bytes()
+    _fail_renames(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        write(path, 2.0)
+    assert path.read_bytes() == old
+    assert list(tmp_path.glob(".tmp-*")) == []
 
 
 # ----------------------------------------------------------------- report

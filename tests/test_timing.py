@@ -81,6 +81,11 @@ class TestPalacharlaModel:
         gentle = 1 - issue_queue_frequency_ghz(64) / issue_queue_frequency_ghz(20)
         assert drop > 0.15
         assert gentle < drop
+        # Figure 4: the same step dominates the calibrated curve.
+        curve = ISSUE_QUEUE_FREQUENCY_CURVE
+        table_drop = 1 - curve[20] / curve[16]
+        assert table_drop > 0.15
+        assert table_drop > (1 - curve[64] / curve[20]) / 2
 
     def test_invalid_entries(self):
         with pytest.raises(ValueError):
@@ -131,6 +136,7 @@ class TestFrequencyTables:
         large = ADAPTIVE_ICACHE_CONFIGS[-1].predictor
         assert large.gshare_entries > small.gshare_entries
         assert large.local_bht_entries > small.local_bht_entries
+        assert (small.gshare_entries, large.gshare_entries) == (16384, 65536)
 
     def test_icache_dm_to_2way_drop_is_large(self):
         """Figure 3: ~31% frequency drop from direct-mapped to 2-way."""
@@ -139,6 +145,8 @@ class TestFrequencyTables:
             / ADAPTIVE_ICACHE_CONFIGS[0].frequency_ghz
         )
         assert 0.25 <= drop <= 0.37
+        freqs = [c.frequency_ghz for c in ADAPTIVE_ICACHE_CONFIGS]
+        assert freqs == sorted(freqs, reverse=True)
 
     def test_optimal_64k_dm_about_27_percent_faster_than_adaptive_64k(self):
         optimal = optimized_icache_config("64k1W").frequency_ghz
@@ -147,6 +155,7 @@ class TestFrequencyTables:
 
     def test_sixteen_optimized_icache_configs(self):
         assert len(OPTIMIZED_ICACHE_CONFIGS) == 16
+        assert {4, 64} <= {c.size_kb for c in OPTIMIZED_ICACHE_CONFIGS}
 
     def test_optimized_direct_mapped_faster_than_same_size_set_associative(self):
         assert (

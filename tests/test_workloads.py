@@ -75,6 +75,7 @@ class TestSuite:
         assert len(olden_suite()) == 9
         assert len(spec2000_suite()) == 15
         assert len(full_suite()) == 40
+        assert sum(len(profiles) for profiles in BENCHMARK_SUITES.values()) == 40
 
     def test_all_names_unique(self):
         names = workload_names()
