@@ -44,8 +44,8 @@ def write_text_atomic(path: str | os.PathLike[str], text: str) -> None:
 class JsonlFormat:
     """A header line ``{"kind", "schema", "meta"}``, then one JSON record per line.
 
-    *noun* names the format in error messages; *torn* is the message for an
-    unreadable record line, with ``{error}`` standing for the cause.
+    *kind* marks the format so other JSON is never misread, *noun* names it in
+    messages, and *torn* (``{error}`` is the cause) reports an unreadable line.
     """
 
     kind: str
