@@ -7,9 +7,9 @@ the same partition-independent equivalence key as one process running the
 whole job list).  The rest covers the JSONL schema validation (foreign,
 stale and truncated files reject loudly), ``merge_ledgers``'
 validate-before-write contract, the atomic replacement of every rewritten
-file, the metrics ``from_dict``/``merge``
-round-trips, the Prometheus/JSON exporters, the campaign report renderer,
-the ``bench history`` trajectory analysis and the CLI surfaces.
+file, the metrics ``from_dict``/``merge`` round-trips, the Prometheus/JSON
+exporters, the campaign report renderer, the ``bench history`` trajectory
+analysis and the CLI surfaces.
 """
 
 from __future__ import annotations
